@@ -3,10 +3,11 @@
 
 GO ?= go
 
-.PHONY: check lint vet-fixtures race bench test build fmt smoke crash chaos attack cluster bench-json bench-compare fuzz-smoke
+.PHONY: check lint vet-fixtures race repeat bench test build fmt smoke crash chaos attack cluster bench-json bench-compare fuzz-smoke
 
-## check: everything CI runs — format, vet, lemonvet, build, tests, race, smoke
-check: lint build test race smoke crash chaos attack cluster
+## check: everything CI runs — format, vet, lemonvet, build, tests, race,
+## repeat, smoke
+check: lint build test race repeat smoke crash chaos attack cluster
 
 ## lint: gofmt (fail on diff), go vet, and the lemonvet static-analysis
 ## suite (all nine passes; -strict-suppress also fails on stale allows)
@@ -32,6 +33,11 @@ test:
 race:
 	$(GO) test -race ./internal/montecarlo/... ./internal/targeting/... ./internal/core/... ./internal/server/... ./internal/registry/... ./internal/cache/... ./internal/wal/... ./internal/fault/... ./internal/resilience/... ./internal/analysis/ ./internal/attack/... ./internal/nems/... ./internal/cluster/... ./api/...
 	$(GO) test -race -short ./...
+
+## repeat: rerun the timing-sensitive packages 20 times at GOMAXPROCS 1, 2
+## and 4, so a test that fails intermittently shows here, not in tier-1
+repeat:
+	$(GO) test -count=20 -cpu 1,2,4 ./api/ ./internal/attack/ ./internal/cluster/ ./internal/registry/ ./internal/wal/ ./internal/server/
 
 ## smoke: end-to-end daemon test (build, provision, lockout, metrics, drain)
 smoke:

@@ -99,8 +99,11 @@ func fakeCluster(t *testing.T, id string, secret []byte, k, n int) (map[string]*
 // TestClusterHedgeFiresAfterDelay pins the hedged-fetch contract end to
 // end: a slow owner does not stall the access (the spare is consulted
 // after exactly the configured hedge delay), the first k shares win,
-// the straggler's request is cancelled — and the slow owner was asked
-// exactly once, so losing the race never costs duplicate wear.
+// the straggler's request is cancelled if it reached its handler at all —
+// and the slow owner was asked at most once, so losing the race never
+// costs duplicate wear. Whether the straggler's request is sent before
+// the winners finish is a scheduling outcome, so the test asserts the
+// invariant for both orders rather than one of them.
 func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 	const id = "arch-000001"
 	secret := []byte{1, 2, 3, 4, 5, 6, 7, 8}
@@ -108,7 +111,9 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 
 	release := make(chan struct{})
 	cancelled := make(chan struct{})
+	var entered atomic.Bool
 	nodes[owners[0]].behave = func(w http.ResponseWriter, r *http.Request, req ClusterAccessRequest) {
+		entered.Store(true)
 		select {
 		case <-r.Context().Done():
 			close(cancelled)
@@ -167,15 +172,31 @@ func TestClusterHedgeFiresAfterDelay(t *testing.T) {
 	if !sawHedge {
 		t.Fatalf("hedge delay %v never went through the shared sleep: %v", hedge, slept)
 	}
-	// First k wins must cancel the straggler...
+	// First k wins must cancel the straggler. Closing the slow owner's
+	// server drops a request that never reached its handler and waits for
+	// one that did; that handler only returns early through cancellation
+	// (release stays open until the test ends), so a close that completes
+	// means every entered straggler was cancelled.
+	closed := make(chan struct{})
+	go func() {
+		nodes[owners[0]].srv.Close()
+		close(closed)
+	}()
 	select {
-	case <-cancelled:
+	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("straggler request never cancelled after k shares won")
 	}
+	if entered.Load() {
+		select {
+		case <-cancelled:
+		default:
+			t.Fatal("straggler handler was entered but never saw its request cancelled")
+		}
+	}
 	// ...and hedging must not have asked it a second time.
-	if got := nodes[owners[0]].hits.Load(); got != 1 {
-		t.Fatalf("slow owner asked %d times, want exactly 1 (duplicate wear)", got)
+	if got := nodes[owners[0]].hits.Load(); got > 1 {
+		t.Fatalf("slow owner asked %d times, want at most 1 (duplicate wear)", got)
 	}
 	for _, name := range []string{owners[1], owners[2]} {
 		if got := nodes[name].hits.Load(); got != 1 {

@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"lemonade/api"
+	"lemonade/internal/core"
+	"lemonade/internal/rng"
 )
 
 // live.go aims the paper's §3 adversaries at a RUNNING daemon instead of
@@ -26,10 +26,11 @@ import (
 //     heat-gun hot phases and cold-soak phases cycled per burst — to
 //     burn the budget far faster than legitimate use would.
 //   - Campaign: availability depletion at scale (§7). N deterministic
-//     attackers race M legitimate users on one architecture; the report
-//     captures the degradation window (first transient → lockout) and
-//     the confidentiality invariants: the attacker sees zero key bytes,
-//     and total reveals never exceed the designed budget.
+//     attackers interleave with M legitimate users on one architecture in
+//     a seeded order; the report captures the degradation window (first
+//     transient → lockout), the served timeline, and the confidentiality
+//     invariants: the attacker sees zero key bytes, and total reveals
+//     never exceed the designed budget.
 
 // StressPlan shapes one attacker's burst sequence. The zero value is not
 // runnable: Bursts and Indices are required.
@@ -126,8 +127,8 @@ func StressPattern(ctx context.Context, c *api.Client, id string, plan StressPla
 // CampaignConfig parameterizes a depletion campaign: Attackers stress
 // workers each running Plan, racing Users legitimate access workers.
 type CampaignConfig struct {
-	Attackers int        // concurrent stress attackers (default 1)
-	Users     int        // concurrent legitimate users (default 1)
+	Attackers int        // stress attackers (default 1)
+	Users     int        // legitimate users (default 1)
 	Plan      StressPlan // per-attacker burst sequence
 	// MaxUserOps bounds each user's access attempts, a safety valve for
 	// configurations that never reach lockout (default 10000).
@@ -136,12 +137,27 @@ type CampaignConfig struct {
 	// accesses are checked against it, and every attacker-visible
 	// response is scanned for it.
 	SecretHex string
+	// Seed picks the interleaving. At every step one still-running
+	// worker, drawn uniformly from a stream seeded here, sends its next
+	// request and waits for the answer before any worker moves again, so
+	// equal seeds send identical request sequences and the order served
+	// is the order sent.
+	Seed uint64
+}
+
+// CampaignOp is one served operation of a campaign, in service order:
+// enough to replay the campaign against an in-process architecture and
+// compare every outcome.
+type CampaignOp struct {
+	Stress      bool    // an attacker burst; otherwise a user access at room temperature
+	TempCelsius float64 // the burst's environment (stress only)
+	Outcome     string  // core.AccessOutcome label, or "ok" for an accepted burst
+	Conducted   int     // actuations that conducted (accepted bursts only)
 }
 
 // CampaignReport is the outcome of one depletion campaign. Operation
-// indices come from a single atomic counter stamped across all workers,
-// so FirstTransientOp and LockoutOp order attacker and user traffic on
-// one global timeline.
+// indices are 1-based positions in Ops, the single served timeline, so
+// FirstTransientOp and LockoutOp order attacker and user traffic exactly.
 type CampaignReport struct {
 	AttackerBursts  int    // stress bursts the daemon accepted
 	AttackerPulses  int    // total stress pulses landed
@@ -152,10 +168,12 @@ type CampaignReport struct {
 	UserDecodeFails int    // 422s users absorbed (conducted but unreconstructable)
 	WrongSecrets    int    // successful accesses returning wrong bytes — MUST be 0
 
-	// FirstTransientOp is the global op index of the first degradation
-	// signal a user saw; LockoutOp the first 410 anyone saw; -1 if never.
+	// FirstTransientOp is the op index of the first degradation signal a
+	// user saw; LockoutOp the first 410 anyone saw; -1 if never.
 	FirstTransientOp int64
 	LockoutOp        int64
+
+	Ops []CampaignOp // every served operation, in order
 }
 
 // DegradationWindow is the number of operations between the first
@@ -169,42 +187,31 @@ func (r CampaignReport) DegradationWindow() int64 {
 	return r.LockoutOp - r.FirstTransientOp
 }
 
-// Campaign races cfg.Attackers stress workers against cfg.Users
-// legitimate access workers on one architecture until every worker
-// finishes (lockout, plan complete, or op budget spent). The first
-// error other than the expected refusals aborts the campaign.
+// campaignWorker is one attacker or user's progress through its script.
+type campaignWorker struct {
+	attacker bool
+	sent     int // attacker: bursts accepted; user: accesses attempted
+	streak   int // attacker: consecutive transients
+}
+
+// Campaign interleaves cfg.Attackers stress workers with cfg.Users
+// legitimate access workers on one architecture, in the seeded order
+// cfg.Seed fixes, until every worker finishes (lockout, plan complete,
+// or op budget spent). The first error other than the expected refusals
+// aborts the campaign.
 func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig) (CampaignReport, error) {
-	attackers := max(cfg.Attackers, 1)
-	users := max(cfg.Users, 1)
 	maxUserOps := cfg.MaxUserOps
 	if maxUserOps <= 0 {
 		maxUserOps = 10000
 	}
-
-	var (
-		ops            atomic.Int64 // global operation timeline
-		firstTransient atomic.Int64
-		lockout        atomic.Int64
-		bursts         atomic.Int64
-		pulses         atomic.Int64
-		remaps         atomic.Uint64
-		reveals        atomic.Int64
-		successes      atomic.Int64
-		transients     atomic.Int64
-		decodeFails    atomic.Int64
-		wrongSecrets   atomic.Int64
-	)
-	firstTransient.Store(-1)
-	lockout.Store(-1)
-	noteFirst := func(slot *atomic.Int64, op int64) {
-		for {
-			cur := slot.Load()
-			if cur >= 0 && cur <= op {
-				return
-			}
-			if slot.CompareAndSwap(cur, op) {
-				return
-			}
+	pulsesPerBurst := cfg.Plan.Pulses
+	if pulsesPerBurst <= 0 {
+		pulsesPerBurst = 1
+	}
+	rep := CampaignReport{FirstTransientOp: -1, LockoutOp: -1}
+	noteFirst := func(slot *int64, op int64) {
+		if *slot < 0 {
+			*slot = op
 		}
 	}
 	// leaked reports whether an attacker-visible payload carries the
@@ -218,111 +225,99 @@ func Campaign(ctx context.Context, c *api.Client, id string, cfg CampaignConfig)
 		return err == nil && strings.Contains(strings.ToLower(string(b)), strings.ToLower(cfg.SecretHex))
 	}
 
-	var wg sync.WaitGroup
-	var firstErr atomic.Pointer[error]
-	fail := func(err error) {
-		if err == nil || errors.Is(err, context.Canceled) {
-			return
+	// step sends w's next request and reports whether w has finished.
+	step := func(w *campaignWorker) (bool, error) {
+		op := int64(len(rep.Ops) + 1)
+		if w.attacker {
+			temp := cfg.Plan.Temperature(w.sent)
+			resp, err := c.Stress(ctx, id, api.StressRequest{
+				TempCelsius: temp, Indices: cfg.Plan.Indices, Pulses: pulsesPerBurst,
+			})
+			rec := CampaignOp{Stress: true, TempCelsius: temp}
+			switch {
+			case err == nil:
+				w.streak = 0
+				w.sent++
+				rep.AttackerBursts++
+				rep.AttackerPulses += resp.Pulses
+				rep.AttackerRemaps = resp.Remaps
+				if leaked(resp) {
+					rep.AttackerReveals++
+				}
+				rec.Outcome, rec.Conducted = "ok", resp.Conducted
+				rep.Ops = append(rep.Ops, rec)
+				return w.sent >= cfg.Plan.Bursts, nil
+			case api.IsExhausted(err):
+				rec.Outcome = core.AccessExhausted.String()
+				rep.Ops = append(rep.Ops, rec)
+				noteFirst(&rep.LockoutOp, op)
+				return true, nil
+			case api.IsTransient(err):
+				// Refused before any wear, so not a served op: the burst
+				// is resent on this worker's next turn.
+				w.streak++
+				if w.streak >= maxStressTransients {
+					return true, fmt.Errorf("attack: attacker wedged on transients: %w", err)
+				}
+				return false, nil
+			default:
+				return true, err
+			}
 		}
-		e := err
-		firstErr.CompareAndSwap(nil, &e)
+		w.sent++
+		resp, err := c.Access(ctx, id, api.AccessRequest{})
+		rec := CampaignOp{}
+		switch {
+		case err == nil:
+			rep.UserSuccesses++
+			if cfg.SecretHex != "" && resp.SecretHex != cfg.SecretHex {
+				rep.WrongSecrets++
+			}
+			rec.Outcome = core.AccessSuccess.String()
+		case api.IsExhausted(err):
+			rec.Outcome = core.AccessExhausted.String()
+			rep.Ops = append(rep.Ops, rec)
+			noteFirst(&rep.LockoutOp, op)
+			return true, nil
+		case api.IsTransient(err):
+			rep.UserTransients++
+			noteFirst(&rep.FirstTransientOp, op)
+			rec.Outcome = core.AccessTransient.String()
+		case isDecodeFailed(err):
+			rep.UserDecodeFails++
+			noteFirst(&rep.FirstTransientOp, op)
+			rec.Outcome = core.AccessDecodeFailed.String()
+		default:
+			return true, err
+		}
+		rep.Ops = append(rep.Ops, rec)
+		return w.sent >= maxUserOps, nil
 	}
 
-	pulsesPerBurst := cfg.Plan.Pulses
-	if pulsesPerBurst <= 0 {
-		pulsesPerBurst = 1
+	var running []*campaignWorker
+	for a := 0; a < max(cfg.Attackers, 1); a++ {
+		if cfg.Plan.Bursts > 0 {
+			running = append(running, &campaignWorker{attacker: true})
+		}
 	}
-	for a := 0; a < attackers; a++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			streak := 0
-			for i := 0; i < cfg.Plan.Bursts; i++ {
-				if ctx.Err() != nil {
-					return
-				}
-				op := ops.Add(1)
-				resp, err := c.Stress(ctx, id, api.StressRequest{
-					TempCelsius: cfg.Plan.Temperature(i),
-					Indices:     cfg.Plan.Indices,
-					Pulses:      pulsesPerBurst,
-				})
-				switch {
-				case err == nil:
-					streak = 0
-					bursts.Add(1)
-					pulses.Add(int64(resp.Pulses))
-					remaps.Store(resp.Remaps)
-					if leaked(resp) {
-						reveals.Add(1)
-					}
-				case api.IsExhausted(err):
-					noteFirst(&lockout, op)
-					return
-				case api.IsTransient(err):
-					streak++
-					if streak >= maxStressTransients {
-						fail(fmt.Errorf("attack: attacker wedged on transients: %w", err))
-						return
-					}
-					i--
-				default:
-					fail(err)
-					return
-				}
-			}
-		}()
+	for u := 0; u < max(cfg.Users, 1); u++ {
+		running = append(running, &campaignWorker{})
 	}
-	for u := 0; u < users; u++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < maxUserOps; n++ {
-				if ctx.Err() != nil {
-					return
-				}
-				op := ops.Add(1)
-				resp, err := c.Access(ctx, id, api.AccessRequest{})
-				switch {
-				case err == nil:
-					successes.Add(1)
-					if cfg.SecretHex != "" && resp.SecretHex != cfg.SecretHex {
-						wrongSecrets.Add(1)
-					}
-				case api.IsExhausted(err):
-					noteFirst(&lockout, op)
-					return
-				case api.IsTransient(err):
-					transients.Add(1)
-					noteFirst(&firstTransient, op)
-				case isDecodeFailed(err):
-					decodeFails.Add(1)
-					noteFirst(&firstTransient, op)
-				default:
-					fail(err)
-					return
-				}
-			}
-		}()
+	pick := rng.New(cfg.Seed)
+	for len(running) > 0 {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		i := pick.Intn(len(running))
+		done, err := step(running[i])
+		if err != nil {
+			return rep, err
+		}
+		if done {
+			running = append(running[:i], running[i+1:]...)
+		}
 	}
-	wg.Wait()
-
-	rep := CampaignReport{
-		AttackerBursts:   int(bursts.Load()),
-		AttackerPulses:   int(pulses.Load()),
-		AttackerRemaps:   remaps.Load(),
-		AttackerReveals:  int(reveals.Load()),
-		UserSuccesses:    int(successes.Load()),
-		UserTransients:   int(transients.Load()),
-		UserDecodeFails:  int(decodeFails.Load()),
-		WrongSecrets:     int(wrongSecrets.Load()),
-		FirstTransientOp: firstTransient.Load(),
-		LockoutOp:        lockout.Load(),
-	}
-	if p := firstErr.Load(); p != nil {
-		return rep, *p
-	}
-	return rep, ctx.Err()
+	return rep, nil
 }
 
 // isDecodeFailed reports a 422: the access conducted (wear consumed) but

@@ -22,7 +22,7 @@ func exactBudgetArch(copies int, lifetime uint64, secret []byte) *Architecture {
 	}
 	for ci := range a.copies {
 		a.copies[ci] = &archCopy{
-			switches: []*nems.Switch{nems.FabricateDeterministic(lifetime)},
+			switches: []nems.Switch{nems.FabricateDeterministic(lifetime)},
 			dec:      replicaDecoder{secret: secret},
 			k:        1,
 		}

@@ -195,9 +195,11 @@ func (d *wideDecoder) combine(conducting []int) ([]byte, error) {
 // archCopy is one serially-used copy: n logical slots, each guarding one
 // component share. Unleveled, slot i IS switches[i]. Leveled, switches
 // holds the whole physical pool (primaries + spares) and bank routes each
-// logical slot onto its currently assigned physical switch.
+// logical slot onto its currently assigned physical switch, aliasing the
+// same values. switches is the copy's capped window of the architecture's
+// single switch pool (see build).
 type archCopy struct {
-	switches   []*nems.Switch
+	switches   []nems.Switch
 	bank       *nems.Bank // nil = unleveled: slot i fires switches[i]
 	dec        decoder
 	k          int
@@ -230,8 +232,8 @@ func (c *archCopy) alive() bool {
 		return c.bank.Usable() >= c.k
 	}
 	working := 0
-	for _, sw := range c.switches {
-		if sw.Working() {
+	for i := range c.switches {
+		if c.switches[i].Working() {
 			working++
 			if working >= c.k {
 				return true
@@ -316,11 +318,8 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 	if lv != nil {
 		phys += lv.Spares
 	}
-	for ci := range a.copies {
-		c := &archCopy{switches: make([]*nems.Switch, phys), dec: dec, k: design.K}
-		for i := range c.switches {
-			c.switches[i] = nems.Fabricate(design.Spec.Dist, r)
-		}
+	for ci, sw := range fabricateCopies(design, phys, r) {
+		c := &archCopy{switches: sw, dec: dec, k: design.K}
 		if lv != nil {
 			b, err := nems.NewBank(c.switches, design.N)
 			if err != nil {
@@ -331,6 +330,24 @@ func build(design dse.Design, secret []byte, lv *Leveling, r *rng.RNG) (*Archite
 		a.copies[ci] = c
 	}
 	return a, nil
+}
+
+// fabricateCopies draws design.Copies×width switches from the design's
+// lifetime distribution into one contiguous pool and returns each copy's
+// capped window of it. The draw order is copy by copy in slot order, as
+// with one slice per copy, so the hidden lifetimes are unchanged; the cap
+// keeps an append on one copy from spilling into the next.
+func fabricateCopies(design dse.Design, width int, r *rng.RNG) [][]nems.Switch {
+	pool := make([]nems.Switch, design.Copies*width)
+	for i := range pool {
+		pool[i] = nems.Fabricate(design.Spec.Dist, r)
+	}
+	out := make([][]nems.Switch, design.Copies)
+	for ci := range out {
+		lo, hi := ci*width, (ci+1)*width
+		out[ci] = pool[lo:hi:hi]
+	}
+	return out
 }
 
 // Access performs one access under env. On success it returns the secret.

@@ -314,3 +314,71 @@ func TestUnleveledStateUnchangedByStressless(t *testing.T) {
 		}
 	}
 }
+
+// TestLeveledBankAliasesCopyPool: the bank routes actuations onto the
+// copy's window of the architecture's switch pool, not onto a private
+// copy of it. Wear fired through a remapped slot must therefore show in
+// State() under the physical index the table maps, and the captured state
+// must restore bit-identically.
+func TestLeveledBankAliasesCopyPool(t *testing.T) {
+	design := smallDesign(t, 30, 0.10)
+	secret := []byte("aliasing secret")
+	lv := Leveling{Spares: 3, Epoch: 1000}
+	a, err := BuildLeveled(design, secret, lv, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Move logical slot 0 onto the first spare, then stress it.
+	assign := make([]int, design.N)
+	for i := range assign {
+		assign[i] = i
+	}
+	spare := design.N
+	assign[0] = spare
+	if err := a.ApplyRemap(0, assign); err != nil {
+		t.Fatal(err)
+	}
+	const pulses = 3
+	if _, err := a.Stress(nems.RoomTemp, []int{0}, pulses); err != nil {
+		t.Fatal(err)
+	}
+	st := a.State()
+	if got := st.Copies[0][spare].Actuated; got != pulses {
+		t.Fatalf("spare %d shows %d actuations in State after %d pulses through slot 0, want %d",
+			spare, got, pulses, pulses)
+	}
+	if got := st.Copies[0][0].Actuated; got != 0 {
+		t.Fatalf("unmapped primary 0 shows %d actuations, want 0", got)
+	}
+	if got := st.Copies[1][spare].Actuated; got != 0 {
+		t.Fatalf("copy 1's spare shows %d actuations: copies share switch storage", got)
+	}
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildLeveled(design, secret, lv, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	blob2, err := json.Marshal(b.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, blob2) {
+		t.Fatalf("restored state diverged:\n%s\nvs\n%s", blob, blob2)
+	}
+	// The restored bank must fire the restored values: one more pulse on
+	// each side lands on the same spare.
+	for _, arch := range []*Architecture{a, b} {
+		if _, err := arch.Stress(nems.RoomTemp, []int{0}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got := arch.State().Copies[0][spare].Actuated; got != pulses+1 {
+			t.Fatalf("spare shows %d actuations after one more pulse, want %d", got, pulses+1)
+		}
+	}
+}

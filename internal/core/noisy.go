@@ -37,14 +37,14 @@ type NoisyArchitecture struct {
 }
 
 type noisyCopy struct {
-	switches []*nems.Switch
+	switches []nems.Switch
 	k        int
 }
 
 func (c *noisyCopy) alive() bool {
 	working := 0
-	for _, sw := range c.switches {
-		if sw.Working() {
+	for i := range c.switches {
+		if c.switches[i].Working() {
 			working++
 			if working >= c.k {
 				return true
@@ -82,12 +82,8 @@ func BuildNoisy(design dse.Design, secret []byte, garbageProb float64, r *rng.RN
 		copies:      make([]*noisyCopy, design.Copies),
 		r:           r.Derive("noise"),
 	}
-	for ci := range a.copies {
-		c := &noisyCopy{switches: make([]*nems.Switch, design.N), k: design.K}
-		for i := range c.switches {
-			c.switches[i] = nems.Fabricate(design.Spec.Dist, r)
-		}
-		a.copies[ci] = c
+	for ci, sw := range fabricateCopies(design, design.N, r) {
+		a.copies[ci] = &noisyCopy{switches: sw, k: design.K}
 	}
 	return a, nil
 }
@@ -118,8 +114,8 @@ func (a *NoisyArchitecture) accessCopy(c *noisyCopy, env nems.Environment) []byt
 		xs   []byte
 		data [][]byte // collected share bytes, parallel to xs
 	)
-	for i, sw := range c.switches {
-		err := sw.Actuate(env)
+	for i := range c.switches {
+		err := c.switches[i].Actuate(env)
 		switch {
 		case err == nil:
 			xs = append(xs, a.shares[i].X)

@@ -34,7 +34,7 @@ var (
 // keySlot is one one-time key: a single-actuation gate in front of a
 // read-destructive store.
 type keySlot struct {
-	gate  *nems.Switch
+	gate  nems.Switch
 	store *memory.ReadDestructive
 }
 

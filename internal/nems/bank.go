@@ -18,8 +18,12 @@ import (
 // A Bank has no locking of its own: it is always owned by exactly one
 // core.Architecture copy and mutated under that architecture's lock,
 // exactly like the raw switch slice it replaces.
+//
+// The bank aliases the switch slice it is built over rather than copying
+// it: an actuation through the bank wears the very values the owning
+// architecture reads for health, checkpointing and restore.
 type Bank struct {
-	phys    []*Switch
+	phys    []Switch
 	n       int    // logical width (shares)
 	assign  []int  // logical slot i fires phys[assign[i]]
 	retired []bool // physical; sticky — a retired switch never re-enters service
@@ -27,8 +31,9 @@ type Bank struct {
 
 // NewBank builds a bank of n logical slots over phys (primaries first,
 // spares after). The initial mapping is the identity: logical i fires
-// phys[i].
-func NewBank(phys []*Switch, n int) (*Bank, error) {
+// phys[i]. The bank keeps phys itself, so wear it applies is visible to
+// every holder of the slice.
+func NewBank(phys []Switch, n int) (*Bank, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("nems: bank needs at least 1 logical slot, got %d", n)
 	}
@@ -194,14 +199,14 @@ func (b *Bank) WearSkew() float64 {
 // wearSkew computes max−min wear over switches not excluded; excluded may
 // be nil (nothing excluded). Shared with the unleveled architecture so
 // both variants report the same statistic.
-func wearSkew(switches []*Switch, excluded []bool) float64 {
+func wearSkew(switches []Switch, excluded []bool) float64 {
 	first := true
 	var lo, hi float64
-	for p, sw := range switches {
+	for p := range switches {
 		if excluded != nil && excluded[p] {
 			continue
 		}
-		w := sw.Wear()
+		w := switches[p].Wear()
 		if first {
 			lo, hi = w, w
 			first = false
@@ -222,7 +227,7 @@ func wearSkew(switches []*Switch, excluded []bool) float64 {
 
 // WearSkewOf reports max−min accumulated wear across a plain switch
 // slice — the unleveled architecture's side of the skew gauge.
-func WearSkewOf(switches []*Switch) float64 { return wearSkew(switches, nil) }
+func WearSkewOf(switches []Switch) float64 { return wearSkew(switches, nil) }
 
 // SparesRemaining counts usable physical switches not currently mapped
 // under any logical slot — the remaining headroom before the bank

@@ -56,7 +56,7 @@ func TestWearoutAccelerationNeverBelowOne(t *testing.T) {
 // n logical slots, spares extra physicals, each with the given lifetime.
 func deterministicBank(t *testing.T, n, spares int, lifetime uint64) *Bank {
 	t.Helper()
-	phys := make([]*Switch, n+spares)
+	phys := make([]Switch, n+spares)
 	for i := range phys {
 		phys[i] = FabricateDeterministic(lifetime)
 	}
@@ -207,7 +207,7 @@ func TestWearSkewOfUnleveled(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		_ = a.Actuate(RoomTemp)
 	}
-	if got := WearSkewOf([]*Switch{a, bsw}); got != 7 {
+	if got := WearSkewOf([]Switch{a, bsw}); got != 7 {
 		t.Fatalf("WearSkewOf = %v, want 7", got)
 	}
 	if got := WearSkewOf(nil); got != 0 {

@@ -76,22 +76,26 @@ var ErrFailed = errors.New("nems: switch has worn out")
 //
 // The hidden lifetime is fixed at fabrication; Actuate consumes it. Wear is
 // tracked in fractional cycles so environmental acceleration composes.
+//
+// A Switch is a 32-byte plain value: structures hold their switches in one
+// contiguous []Switch and actuate them in place through &slice[i], so a
+// fabricated key costs one allocation for all of its devices rather than
+// one per device.
 type Switch struct {
 	lifetime  float64 // hidden: cycles until failure at 25 °C
 	wear      float64 // accumulated (accelerated) cycles
 	actuated  uint64  // observable actuation count
-	failed    bool
-	failCycle uint64 // actuation index at which failure occurred (1-based)
+	failCycle uint64  // actuation index at which failure occurred (1-based); 0 = working
 }
 
 // Fabricate draws a switch from the given lifetime distribution.
-func Fabricate(d weibull.Dist, r *rng.RNG) *Switch {
-	return &Switch{lifetime: float64(d.SampleCycles(r))}
+func Fabricate(d weibull.Dist, r *rng.RNG) Switch {
+	return Switch{lifetime: float64(d.SampleCycles(r))}
 }
 
 // FabricateWithVariation draws a per-device effective distribution from the
 // process-variation model, then a lifetime from it.
-func FabricateWithVariation(v weibull.Variation, r *rng.RNG) *Switch {
+func FabricateWithVariation(v weibull.Variation, r *rng.RNG) Switch {
 	return Fabricate(v.Draw(r), r)
 }
 
@@ -101,8 +105,8 @@ func FabricateWithVariation(v weibull.Variation, r *rng.RNG) *Switch {
 // "wears out exactly after one access" forward-secrecy store, which is
 // FabricateDeterministic(1)). Zero models an infant-mortality device that
 // fails on its first actuation.
-func FabricateDeterministic(lifetimeCycles uint64) *Switch {
-	return &Switch{lifetime: float64(lifetimeCycles)}
+func FabricateDeterministic(lifetimeCycles uint64) Switch {
+	return Switch{lifetime: float64(lifetimeCycles)}
 }
 
 // Actuate closes and reopens the switch once under the given environment.
@@ -111,13 +115,12 @@ func FabricateDeterministic(lifetimeCycles uint64) *Switch {
 // conduct: the paper counts a device as working "for t accesses" if access
 // t still succeeds).
 func (s *Switch) Actuate(env Environment) error {
-	if s.failed {
+	if s.failCycle != 0 {
 		return ErrFailed
 	}
 	s.actuated++
 	s.wear += env.wearoutAcceleration()
 	if s.wear > s.lifetime {
-		s.failed = true
 		s.failCycle = s.actuated
 		return ErrFailed
 	}
@@ -148,11 +151,10 @@ func (s *Switch) RestoreState(st State) {
 	s.wear = st.Wear
 	s.actuated = st.Actuated
 	s.failCycle = st.FailCycle
-	s.failed = st.FailCycle > 0
 }
 
 // Working reports whether the switch can still conduct.
-func (s *Switch) Working() bool { return !s.failed }
+func (s *Switch) Working() bool { return s.failCycle == 0 }
 
 // Wear returns the accumulated (environment-accelerated) actuation cycles.
 // This is observable state, not a leak of the hidden lifetime: the
@@ -171,7 +173,7 @@ func (s *Switch) FailedAt() uint64 { return s.failCycle }
 // String implements fmt.Stringer without leaking the hidden lifetime.
 func (s *Switch) String() string {
 	state := "working"
-	if s.failed {
+	if s.failCycle != 0 {
 		state = fmt.Sprintf("failed@%d", s.failCycle)
 	}
 	return fmt.Sprintf("nems.Switch{actuations=%d, %s}", s.actuated, state)
@@ -197,14 +199,14 @@ func NewPopulation(nominal weibull.Dist, cvAlpha, cvBeta float64, r *rng.RNG) *P
 }
 
 // Fabricate produces one switch from the lot.
-func (p *Population) Fabricate() *Switch {
+func (p *Population) Fabricate() Switch {
 	p.produced++
 	return FabricateWithVariation(p.Variation, p.rng)
 }
 
 // FabricateN produces n switches.
-func (p *Population) FabricateN(n int) []*Switch {
-	out := make([]*Switch, n)
+func (p *Population) FabricateN(n int) []Switch {
+	out := make([]Switch, n)
 	for i := range out {
 		out[i] = p.Fabricate()
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"lemonade/internal/rng"
 	"lemonade/internal/weibull"
@@ -233,5 +234,31 @@ func TestStringDoesNotLeakLifetime(t *testing.T) {
 		return false
 	}; containsDigits(s.String(), "12345") {
 		t.Error("String() leaks the hidden lifetime")
+	}
+}
+
+// TestSwitchSize pins the per-device footprint: structures store switches
+// as contiguous values, so every byte here is paid 3,360 times per phone
+// key. Failure is encoded by a nonzero failCycle, not a separate flag.
+func TestSwitchSize(t *testing.T) {
+	if got := unsafe.Sizeof(Switch{}); got > 32 {
+		t.Fatalf("unsafe.Sizeof(Switch{}) = %d, want <= 32", got)
+	}
+}
+
+// TestRestoreStateFailureRoundTrip checks that the working/failed verdict
+// survives a State/RestoreState round trip in both directions.
+func TestRestoreStateFailureRoundTrip(t *testing.T) {
+	worn := FabricateDeterministic(1)
+	for worn.Actuate(RoomTemp) == nil {
+	}
+	fresh := FabricateDeterministic(1)
+	fresh.RestoreState(worn.State())
+	if fresh.Working() || fresh.FailedAt() != 2 || !errors.Is(fresh.Actuate(RoomTemp), ErrFailed) {
+		t.Fatalf("restored worn state: working=%v failedAt=%d", fresh.Working(), fresh.FailedAt())
+	}
+	fresh.RestoreState(State{})
+	if !fresh.Working() || fresh.Actuate(RoomTemp) != nil {
+		t.Fatal("restoring a zero state must bring the switch back to working")
 	}
 }

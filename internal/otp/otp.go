@@ -140,7 +140,7 @@ func (p Params) PadsPerChip(chipMm2 float64) int {
 // tree is one decision-tree circuit: Height levels of switches, a register
 // per leaf.
 type tree struct {
-	levels [][]*nems.Switch // levels[l] has min(2^l, leaves) switches
+	levels [][]nems.Switch // levels[l] has min(2^l, leaves) switches
 	leaves []*memory.ShiftRegister
 }
 
@@ -150,13 +150,13 @@ func newTree(p Params, shares [][]byte, r *rng.RNG) (*tree, error) {
 	if len(shares) != leaves {
 		return nil, fmt.Errorf("otp: need %d leaf payloads, got %d", leaves, len(shares))
 	}
-	t := &tree{levels: make([][]*nems.Switch, p.Height), leaves: make([]*memory.ShiftRegister, leaves)}
+	t := &tree{levels: make([][]nems.Switch, p.Height), leaves: make([]*memory.ShiftRegister, leaves)}
 	for l := 0; l < p.Height; l++ {
 		width := 1 << uint(l)
 		if width > leaves {
 			width = leaves
 		}
-		t.levels[l] = make([]*nems.Switch, width)
+		t.levels[l] = make([]nems.Switch, width)
 		for i := range t.levels[l] {
 			t.levels[l][i] = nems.Fabricate(p.Dist, r)
 		}

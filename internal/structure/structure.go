@@ -96,13 +96,13 @@ type Structure interface {
 // Series is a chain of switches (Fig 2b); an access succeeds iff every
 // switch in the chain conducts.
 type Series struct {
-	switches []*nems.Switch
+	switches []nems.Switch
 	dead     bool
 }
 
 // NewSeries fabricates a chain of n switches from d.
 func NewSeries(d weibull.Dist, n int, r *rng.RNG) *Series {
-	s := &Series{switches: make([]*nems.Switch, n)}
+	s := &Series{switches: make([]nems.Switch, n)}
 	for i := range s.switches {
 		s.switches[i] = nems.Fabricate(d, r)
 	}
@@ -115,8 +115,8 @@ func (s *Series) Access(env nems.Environment) bool {
 		return false
 	}
 	ok := true
-	for _, sw := range s.switches {
-		if err := sw.Actuate(env); err != nil {
+	for i := range s.switches {
+		if err := s.switches[i].Actuate(env); err != nil {
 			ok = false
 		}
 	}
@@ -136,7 +136,7 @@ func (s *Series) Devices() int { return len(s.switches) }
 // with k>1 plus encoding). An access actuates all surviving switches; it
 // succeeds iff at least k of them conduct.
 type Parallel struct {
-	switches []*nems.Switch
+	switches []nems.Switch
 	k        int
 }
 
@@ -146,7 +146,7 @@ func NewParallel(d weibull.Dist, n, k int, r *rng.RNG) (*Parallel, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("structure: k=%d out of range [1, %d]", k, n)
 	}
-	p := &Parallel{switches: make([]*nems.Switch, n), k: k}
+	p := &Parallel{switches: make([]nems.Switch, n), k: k}
 	for i := range p.switches {
 		p.switches[i] = nems.Fabricate(d, r)
 	}
@@ -164,8 +164,8 @@ func (p *Parallel) Access(env nems.Environment) bool {
 // decoder can read this access (used by the encoded architectures).
 func (p *Parallel) AccessSurvivors(env nems.Environment) []int {
 	var ok []int
-	for i, sw := range p.switches {
-		if sw.Actuate(env) == nil {
+	for i := range p.switches {
+		if p.switches[i].Actuate(env) == nil {
 			ok = append(ok, i)
 		}
 	}
@@ -176,8 +176,8 @@ func (p *Parallel) AccessSurvivors(env nems.Environment) []int {
 // switches are still working.
 func (p *Parallel) Alive() bool {
 	working := 0
-	for _, sw := range p.switches {
-		if sw.Working() {
+	for i := range p.switches {
+		if p.switches[i].Working() {
 			working++
 			if working >= p.k {
 				return true
@@ -196,8 +196,8 @@ func (p *Parallel) K() int { return p.k }
 // WorkingCount returns how many switches currently work.
 func (p *Parallel) WorkingCount() int {
 	c := 0
-	for _, sw := range p.switches {
-		if sw.Working() {
+	for i := range p.switches {
+		if p.switches[i].Working() {
 			c++
 		}
 	}

@@ -75,13 +75,25 @@ type snapshotArch struct {
 	RemapEpoch uint64 `json:"remap_epoch,omitempty"`
 }
 
-// snapshotFile is the single framed payload of a snap-*.snap file.
+// snapshotFile is the content of a snap-*.snap file, in one of two
+// framings:
+//
+//   - format 1: a single frame holding this struct with every
+//     architecture inline in Archs. Still loaded, no longer written: a
+//     registry of more than ~190 phone keys outgrows maxRecordLen.
+//   - format 2: a header frame holding this struct with Archs empty and
+//     ArchCount set, then one frame per architecture in snapshot order,
+//     so no frame grows with the registry.
 type snapshotFile struct {
 	Format           int            `json:"format"`
 	Epoch            uint64         `json:"epoch"` // first segment NOT covered
 	CreatedUnixNanos int64          `json:"created_unix_nanos"`
-	Archs            []snapshotArch `json:"archs"`
+	ArchCount        int            `json:"arch_count,omitempty"` // format 2: frames after the header
+	Archs            []snapshotArch `json:"archs,omitempty"`      // format 1 only in the file
 }
+
+// snapshotFormat is the framing writeSnapshotFile produces.
+const snapshotFormat = 2
 
 // RecoveryStats summarizes what Recover did, for startup logging and the
 // recovery metrics.
@@ -574,6 +586,22 @@ func (s *DiskStore) commitGroup(batch []*commitReq) {
 	}
 	s.mGroupSyncs.Inc()
 	s.hBatchSize.Observe(float64(totalRecs))
+	if over {
+		// Re-check and signal under mu: a Snapshot that ran since the
+		// check above has reset recsSince (and drained snapCh under the
+		// same lock), so a stale signal would trigger a back-to-back
+		// snapshot of a near-empty log. Signalling before the tickets
+		// resolve means a caller that has crossed the threshold sees the
+		// signal pending once its Wait returns.
+		s.mu.Lock()
+		if s.recsSince >= s.threshold {
+			select {
+			case s.snapCh <- struct{}{}:
+			default:
+			}
+		}
+		s.mu.Unlock()
+	}
 	for _, req := range batch {
 		s.mAppendProv.Add(req.nProv)
 		s.mAppendAcc.Add(req.nAcc)
@@ -581,12 +609,6 @@ func (s *DiskStore) commitGroup(batch []*commitReq) {
 		s.mAppendRemap.Add(req.nRemap)
 		s.mAppendRetire.Add(req.nRetire)
 		req.tkt.resolve(nil)
-	}
-	if over {
-		select {
-		case s.snapCh <- struct{}{}:
-		default:
-		}
 	}
 }
 
@@ -815,14 +837,39 @@ func (s *DiskStore) loadSnapshot(epoch uint64) (*snapshotFile, error) {
 	}
 	var snap *snapshotFile
 	good, torn, err := scanFrames(name, data, func(payload []byte) error {
-		if snap != nil {
-			return &CorruptionError{File: name, Record: 1, Offset: -1,
-				Reason: "snapshot holds more than one frame"}
+		if snap == nil {
+			snap = new(snapshotFile)
+			if err := json.Unmarshal(payload, snap); err != nil {
+				return &CorruptionError{File: name, Record: 0, Offset: 0,
+					Reason: "snapshot payload is not valid JSON: " + err.Error()}
+			}
+			switch {
+			case snap.Format == 1:
+				return nil
+			case snap.Format != snapshotFormat:
+				return fmt.Errorf("wal: snapshot %s has unknown format %d", name, snap.Format)
+			case len(snap.Archs) > 0 || snap.ArchCount < 0:
+				return &CorruptionError{File: name, Record: 0, Offset: 0,
+					Reason: "snapshot header carries inline architectures or a negative count"}
+			}
+			// Every architecture frame takes at least a frame header, which
+			// bounds what a damaged count can make this allocate.
+			snap.Archs = make([]snapshotArch, 0, min(snap.ArchCount, len(data)/frameHeader))
+			return nil
 		}
-		snap = new(snapshotFile)
-		if err := json.Unmarshal(payload, snap); err != nil {
-			return &CorruptionError{File: name, Record: 0, Offset: 0,
-				Reason: "snapshot payload is not valid JSON: " + err.Error()}
+		if snap.Format == 1 {
+			return &CorruptionError{File: name, Record: 1, Offset: -1,
+				Reason: "format 1 snapshot holds more than one frame"}
+		}
+		rec := len(snap.Archs) + 1 // frame index: the header is frame 0
+		if len(snap.Archs) == snap.ArchCount {
+			return &CorruptionError{File: name, Record: rec, Offset: -1,
+				Reason: fmt.Sprintf("snapshot holds more than the %d architectures its header declares", snap.ArchCount)}
+		}
+		snap.Archs = append(snap.Archs, snapshotArch{})
+		if err := json.Unmarshal(payload, &snap.Archs[len(snap.Archs)-1]); err != nil {
+			return &CorruptionError{File: name, Record: rec, Offset: -1,
+				Reason: "snapshot architecture is not valid JSON: " + err.Error()}
 		}
 		return nil
 	})
@@ -830,13 +877,11 @@ func (s *DiskStore) loadSnapshot(epoch uint64) (*snapshotFile, error) {
 		return nil, err
 	}
 	// Snapshots are written to a temp file and atomically renamed, so a
-	// torn or empty snapshot cannot come from a crash — only from damage.
-	if torn > 0 || snap == nil {
+	// torn, empty or short snapshot cannot come from a crash — only from
+	// damage.
+	if torn > 0 || snap == nil || snap.Format == snapshotFormat && len(snap.Archs) != snap.ArchCount {
 		return nil, &CorruptionError{File: name, Record: 0, Offset: good,
 			Reason: "snapshot file is incomplete"}
-	}
-	if snap.Format != 1 {
-		return nil, fmt.Errorf("wal: snapshot %s has unknown format %d", name, snap.Format)
 	}
 	if snap.Epoch != epoch {
 		return nil, &CorruptionError{File: name, Record: 0, Offset: 0,
@@ -1062,7 +1107,7 @@ func (s *DiskStore) Snapshot(reg *registry.Registry) error {
 
 	// Capture under the exclusive barrier: every done-callback has run, so
 	// each architecture's state agrees exactly with its log prefix.
-	snap := snapshotFile{Format: 1, Epoch: newSeq, CreatedUnixNanos: s.now()}
+	snap := snapshotFile{Format: snapshotFormat, Epoch: newSeq, CreatedUnixNanos: s.now()}
 	reg.Range(func(e *registry.Entry) bool {
 		sa := snapshotArch{
 			ID: e.ID, Seed: e.Seed, Secret: e.Secret,
@@ -1080,6 +1125,12 @@ func (s *DiskStore) Snapshot(reg *registry.Registry) error {
 	old := s.cur
 	oldSeq := s.curSeq
 	s.cur, s.curSeq, s.curOff, s.recsSince = f, newSeq, 0, 0
+	// This snapshot answers any pending threshold signal; the committer
+	// only raises a new one after recsSince crosses the threshold again.
+	select {
+	case <-s.snapCh:
+	default:
+	}
 	s.mu.Unlock()
 	s.barrier.Unlock()
 
@@ -1128,9 +1179,34 @@ func snapLess(a, b string) bool {
 	return a < b
 }
 
+// encodeSnapshot frames snap in format 2: a header frame, then one frame
+// per architecture. It refuses an architecture whose frame would exceed
+// maxRecordLen, because recovery could never read it back.
+func encodeSnapshot(snap *snapshotFile) ([]byte, error) {
+	hdr := *snap
+	hdr.Format, hdr.ArchCount, hdr.Archs = snapshotFormat, len(snap.Archs), nil
+	payload, err := json.Marshal(&hdr)
+	if err != nil {
+		return nil, err
+	}
+	buf := appendFrame(nil, payload)
+	for i := range snap.Archs {
+		payload, err := json.Marshal(&snap.Archs[i])
+		if err != nil {
+			return nil, err
+		}
+		if len(payload) > maxRecordLen {
+			return nil, fmt.Errorf("architecture %s encodes to %d bytes, over the %d-byte frame cap",
+				snap.Archs[i].ID, len(payload), maxRecordLen)
+		}
+		buf = appendFrame(buf, payload)
+	}
+	return buf, nil
+}
+
 // writeSnapshotFile durably writes snap via temp file + atomic rename.
 func (s *DiskStore) writeSnapshotFile(snap *snapshotFile) error {
-	payload, err := json.Marshal(snap)
+	frames, err := encodeSnapshot(snap)
 	if err != nil {
 		return fmt.Errorf("wal: encoding snapshot: %w", err)
 	}
@@ -1140,7 +1216,7 @@ func (s *DiskStore) writeSnapshotFile(snap *snapshotFile) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating snapshot temp file: %w", err)
 	}
-	_, err = f.Write(appendFrame(nil, payload))
+	_, err = f.Write(frames)
 	if err == nil {
 		err = f.Sync()
 	}

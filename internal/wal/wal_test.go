@@ -378,6 +378,36 @@ func TestSnapshotThresholdSignals(t *testing.T) {
 	}
 }
 
+// TestSnapshotClearsPendingSignal: a Snapshot answers the threshold
+// signal raised before it, so the serve loop never takes a back-to-back
+// snapshot of a near-empty log. No signal is pending after Snapshot until
+// the threshold is crossed again, counting only records appended after it.
+func TestSnapshotClearsPendingSignal(t *testing.T) {
+	const threshold = 5
+	st := openStore(t, t.TempDir(), threshold)
+	defer st.Close()
+	reg, e := provisionVia(t, st)
+	drive(t, e, threshold-1) // 1 provision + 4 accesses = the threshold
+	if n := len(st.SnapshotNeeded()); n != 1 {
+		t.Fatalf("%d signals pending after crossing the threshold, want 1", n)
+	}
+	if err := st.Snapshot(reg); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.SnapshotNeeded()); n != 0 {
+		t.Fatalf("%d signals pending right after Snapshot, want 0", n)
+	}
+	drive(t, e, threshold-1)
+	if n := len(st.SnapshotNeeded()); n != 0 {
+		t.Fatalf("%d signals pending %d records after Snapshot (threshold %d), want 0",
+			n, threshold-1, threshold)
+	}
+	drive(t, e, 1)
+	if n := len(st.SnapshotNeeded()); n != 1 {
+		t.Fatalf("%d signals pending after crossing the threshold again, want 1", n)
+	}
+}
+
 // TestAppendBeforeRecoverFails pins the arming contract.
 func TestAppendBeforeRecoverFails(t *testing.T) {
 	st := openStore(t, t.TempDir(), 0)
