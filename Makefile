@@ -59,13 +59,12 @@ bench-compare:
 	$(GO) run ./cmd/lemonaded bench compare "$(OLD)" \
 		"$${NEW:-BENCH_$$(git rev-parse --short=12 HEAD).json}"
 
-## fuzz-smoke: short native-fuzz runs over the WAL frame decoder and the
-## codec (the CI smoke; `go test -fuzz` for a long local session)
+## fuzz-smoke: short native-fuzz runs over the WAL frame decoders and the
+## Shamir codec (the CI smoke; `go test -fuzz` for a long local session)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALFrameDecode' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzWearRecordDecode' -fuzztime 15s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz 'FuzzShamirReconstruct' -fuzztime 15s ./internal/shamir/
-	$(GO) test -run '^$$' -fuzz 'FuzzRSDecode' -fuzztime 15s ./internal/rs/
 
 ## crash: crash-recovery test (SIGKILL mid-budget, restart, exact wear)
 crash:

@@ -15,7 +15,7 @@
 //   - internal/dse — the design-space exploration that sizes them
 //   - internal/{weibull,nems,memory,structure,reliability,cost} — the
 //     device and structure substrates
-//   - internal/{gf256,shamir,rs} — the redundant-encoding substrates
+//   - internal/{gf256,gf16,shamir,shamir16} — the redundant-encoding substrates
 //   - internal/{connection,targeting,otp} — the paper's three use cases
 //   - internal/{password,attack,montecarlo} — threat models and harness
 //   - internal/figures — regenerates every table and figure of the paper

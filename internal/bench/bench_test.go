@@ -34,8 +34,6 @@ func TestSuiteCoversHotPaths(t *testing.T) {
 		"dse/explore_cached",
 		"explore/parallel",
 		"codec/shamir_split_combine",
-		"codec/rs_encode_decode",
-		"codec/rs-fast-path",
 		"wal/append",
 		"wal/replay",
 		"wal/snapshot_recovery",
@@ -147,8 +145,8 @@ func TestParallelChecksumsWorkerCountInvariant(t *testing.T) {
 // configured ceiling regresses even when the old report was equally
 // bad — the point of an absolute gate.
 func TestCompareAllocCeilings(t *testing.T) {
-	bad := Result{Name: "codec/rs_encode_decode", MedianNanos: 1e6, AllocsPerOp: 500, Checksum: "abc"}
-	opts := CompareOpts{AllocCeilings: map[string]float64{"codec/rs_encode_decode": 48}}
+	bad := Result{Name: "codec/shamir_split_combine", MedianNanos: 1e6, AllocsPerOp: 500, Checksum: "abc"}
+	opts := CompareOpts{AllocCeilings: map[string]float64{"codec/shamir_split_combine": 48}}
 	regs, err := Compare(report(bad), report(bad), opts)
 	if err != nil {
 		t.Fatal(err)

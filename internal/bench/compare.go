@@ -37,16 +37,14 @@ type CompareOpts struct {
 // DefaultAllocCeilings are the ratcheted allocs/op ceilings for the
 // zero-alloc codec and simulation paths: each is the measured floor of
 // the pooled implementation (seed 42, N=10) with ~2× headroom for GC and
-// runtime jitter, far below the pre-pooling counts (shamir 622, rs 86,
+// runtime jitter, far below the pre-pooling counts (shamir 622,
 // montecarlo 4111 allocs/op). Lower a ceiling when a path gets cheaper;
 // raising one is a performance regression and needs the same scrutiny as
 // a failing gate.
 var DefaultAllocCeilings = map[string]float64{
-	"codec/shamir_split_combine": 32,  // measured floor 14
-	"codec/rs_encode_decode":     16,  // measured floor 1
-	"codec/rs-fast-path":         512, // measured floor 300 (BW fallback columns)
-	"montecarlo/run_parallel":    48,  // measured floor 12
-	"explore/parallel":           64,  // measured floor 22
+	"codec/shamir_split_combine": 32, // measured floor 14
+	"montecarlo/run_parallel":    48, // measured floor 12
+	"explore/parallel":           64, // measured floor 22
 }
 
 func (o CompareOpts) withDefaults() CompareOpts {

@@ -1,6 +1,6 @@
 // Package gf256 implements arithmetic in the finite field GF(2^8) with the
 // primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D), the field used by
-// the Shamir secret-sharing and Reed-Solomon packages.
+// the Shamir secret-sharing package.
 //
 // Multiplication and division go through exp/log tables built at package
 // init; all operations are constant-time-ish table lookups (we make no
@@ -123,16 +123,6 @@ func (p Polynomial) Eval(x byte) byte {
 		y = Mul(y, x) ^ p[i]
 	}
 	return y
-}
-
-// Degree returns the degree of the polynomial, or -1 for the zero polynomial.
-func (p Polynomial) Degree() int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] != 0 {
-			return i
-		}
-	}
-	return -1
 }
 
 // checkDistinct validates the shared Interpolate/LagrangeCoeffs

@@ -151,18 +151,6 @@ func TestPolynomialEval(t *testing.T) {
 	}
 }
 
-func TestPolynomialDegree(t *testing.T) {
-	if (Polynomial{0, 0, 0}).Degree() != -1 {
-		t.Error("zero polynomial degree should be -1")
-	}
-	if (Polynomial{1, 0, 4, 0}).Degree() != 2 {
-		t.Error("trailing zeros should not raise the degree")
-	}
-	if (Polynomial{}).Degree() != -1 {
-		t.Error("empty polynomial degree should be -1")
-	}
-}
-
 func TestInterpolateRecoversPolynomial(t *testing.T) {
 	p := Polynomial{42, 17, 99, 3} // degree 3
 	xs := []byte{1, 2, 3, 4}

@@ -145,7 +145,6 @@ func TestSliceKernelsLengthMismatchPanics(t *testing.T) {
 		{"AddSlice", func() { AddSlice(make([]byte, 3), make([]byte, 4)) }},
 		{"MulSliceAdd", func() { MulSliceAdd(make([]byte, 3), make([]byte, 4), 5) }},
 		{"MulSlice", func() { MulSlice(make([]byte, 3), make([]byte, 4), 5) }},
-		{"EvalManyInto", func() { Polynomial{1}.EvalManyInto(make([]byte, 3), make([]byte, 4)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,21 +183,6 @@ func TestEvalIntoMatchesHorner(t *testing.T) {
 	for i, v := range dst {
 		if v != 0 {
 			t.Fatalf("EvalInto with no rows should zero dst; byte %d = %d", i, v)
-		}
-	}
-}
-
-func TestEvalManyIntoMatchesEval(t *testing.T) {
-	p := Polynomial(patternBytes(9, 0x5A))
-	xs := make([]byte, 256)
-	for i := range xs {
-		xs[i] = byte(i)
-	}
-	dst := make([]byte, 256)
-	p.EvalManyInto(dst, xs)
-	for i, x := range xs {
-		if want := p.Eval(x); dst[i] != want {
-			t.Fatalf("EvalManyInto at x=%d: got %d, want %d", x, dst[i], want)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -152,6 +154,7 @@ func TestStressEndpoint(t *testing.T) {
 	}
 
 	// A hot targeted burst: wear consumed, no key material in the body.
+	sparesBefore, skewBefore := s.hSpares.Count(), s.hWearSkew.Count()
 	var last StressResponse
 	for i := 0; i < 8; i++ {
 		resp, body := postJSON(t, stressURL, StressRequest{
@@ -193,7 +196,8 @@ func TestStressEndpoint(t *testing.T) {
 		t.Errorf("status wear_leveling = %+v, want 16 stressed", st.WearLeveling)
 	}
 
-	// The wear metrics are in the scrape, with the per-arch labels.
+	// The wear metrics are in the scrape, and the stress bursts were
+	// observed into both wear-leveling histograms.
 	resp, body = getJSON(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: status %d", resp.StatusCode)
@@ -202,19 +206,25 @@ func TestStressEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"lemonaded_stress_pulses_total 16",
 		"lemonaded_wearout_remaps_total",
-		`lemonaded_spares_remaining{arch="` + pr.ID + `"}`,
-		`lemonaded_wear_skew_millis{arch="` + pr.ID + `"}`,
+		"lemonaded_leveled_spares_remaining_count",
+		"lemonaded_leveled_wear_skew_cycles_count",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+	if got := s.hSpares.Count(); got <= sparesBefore {
+		t.Errorf("spares histogram count %d did not rise after stress (was %d)", got, sparesBefore)
+	}
+	if got := s.hWearSkew.Count(); got <= skewBefore {
+		t.Errorf("wear-skew histogram count %d did not rise after stress (was %d)", got, skewBefore)
 	}
 }
 
 // TestStressPlainArchitecture: stress works against unleveled hardware
 // too (the attack does not require the defense), it just never remaps.
 func TestStressPlainArchitecture(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	pr := provisionGolden(t, ts.URL, 42)
 	resp, body := postJSON(t, ts.URL+"/v1/architectures/"+pr.ID+"/stress", StressRequest{
 		TempCelsius: 400, Indices: []int{0}, Pulses: 3,
@@ -232,9 +242,58 @@ func TestStressPlainArchitecture(t *testing.T) {
 	if sr.Stressed != 3 {
 		t.Errorf("stressed = %d, want 3", sr.Stressed)
 	}
-	// No per-arch wear gauges for unleveled hardware.
-	_, body = getJSON(t, ts.URL+"/metrics")
-	if strings.Contains(string(body), `lemonaded_spares_remaining{arch="`+pr.ID+`"}`) {
-		t.Errorf("plain architecture exported a spares gauge")
+	// Unleveled hardware observes nothing into the wear histograms.
+	if n := s.hSpares.Count(); n != 0 {
+		t.Errorf("plain architecture observed %d spares samples", n)
+	}
+	if n := s.hWearSkew.Count(); n != 0 {
+		t.Errorf("plain architecture observed %d wear-skew samples", n)
+	}
+}
+
+// TestWearMetricsCardinalityBounded: provisioning leveled architectures
+// must not mint metric series per architecture. After the first leveled
+// provision has created every series the route touches, ten thousand more
+// leave the /metrics sample count unchanged.
+func TestWearMetricsCardinalityBounded(t *testing.T) {
+	h := New(Config{}).Handler()
+	provision := func(seed uint64) {
+		t.Helper()
+		body, err := json.Marshal(ProvisionRequest{
+			Spec: goldenSpec, SecretHex: goldenSecretHex, Seed: seed,
+			Spares: 2, RemapEpoch: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/architectures", bytes.NewReader(body)))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("provision seed %d: status %d: %s", seed, rec.Code, rec.Body)
+		}
+	}
+	samples := func() int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("metrics: status %d", rec.Code)
+		}
+		n := 0
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
+	}
+	provision(1)
+	want := samples()
+	const keys = 10_000
+	for seed := uint64(2); seed <= keys; seed++ {
+		provision(seed)
+	}
+	if got := samples(); got != want {
+		t.Errorf("/metrics has %d samples after %d leveled provisions, want %d (as after the first)", got, keys, want)
 	}
 }

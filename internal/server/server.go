@@ -126,7 +126,21 @@ type Server struct {
 	mStressPulses  *metrics.Counter
 	mRemaps        *metrics.Counter
 	mRemapFailures *metrics.Counter
+	// Fleet-wide wear-leveling distributions: one unlabeled series set
+	// however many leveled architectures are provisioned. Per-architecture
+	// values are on GET /v1/architectures/{id}.
+	hSpares   *metrics.Histogram
+	hWearSkew *metrics.Histogram
 }
+
+// spareBuckets and wearSkewBuckets are the fixed upper bounds of the
+// wear-leveling histograms: spare switches summed over copies, and wear
+// skew in accumulated cycles. Zero gets its own bucket in both, so an
+// exhausted spare pool or an even wear spread is visible as such.
+var (
+	spareBuckets    = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+	wearSkewBuckets = []float64{0, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+)
 
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
@@ -175,10 +189,14 @@ func New(cfg Config) *Server {
 		mStressPulses:   m.Counter("lemonaded_stress_pulses_total", "", "adversarial stress pulses applied across the fleet"),
 		mRemaps:         m.Counter("lemonaded_wearout_remaps_total", "", "wear-leveling rotations durably applied"),
 		mRemapFailures:  m.Counter("lemonaded_wearout_remap_failures_total", "", "wear-leveling rotations refused because the durable store failed"),
+		hSpares: m.Histogram("lemonaded_leveled_spares_remaining", "",
+			"usable unassigned spare switches of a leveled architecture, observed on provision, stress and remap", spareBuckets),
+		hWearSkew: m.Histogram("lemonaded_leveled_wear_skew_cycles", "",
+			"wear skew (max-min accumulated wear over the serviceable pool) of a leveled architecture, observed on provision, stress and remap", wearSkewBuckets),
 	}
 	// Wear-leveling maintenance happens inside the registry's access path;
-	// the observer is how its outcomes reach operators. Success refreshes
-	// the per-architecture wear gauges; failure is a store fault that did
+	// the observer is how its outcomes reach operators. Success observes
+	// the wear-leveling histograms; failure is a store fault that did
 	// NOT fail the triggering operation (the rotation retries after the
 	// next one), so it gets its own counter.
 	reg.SetRemapObserver(func(ev registry.RemapEvent) {
@@ -188,7 +206,7 @@ func New(cfg Config) *Server {
 		}
 		s.mRemaps.Inc()
 		if e, ok := s.reg.Get(ev.ID); ok {
-			s.updateWearGauges(e)
+			s.observeWear(e)
 		}
 	})
 	s.mux = http.NewServeMux()
@@ -233,20 +251,16 @@ func (s *Server) Metrics() *metrics.Registry { return s.met }
 // loop (a snapshot captures the registry through the store's barrier).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// updateWearGauges refreshes the per-architecture wear-leveling gauges:
-// remaining spare switches and wear skew (max−min wear over the active
-// copy's serviceable pool, in milli-units because gauges are integral).
-// Only leveled architectures export them; plain ones have no rotation
-// story to observe.
-func (s *Server) updateWearGauges(e *registry.Entry) {
+// observeWear records one leveled architecture's remaining spare
+// switches and wear skew (max−min wear over the active copy's
+// serviceable pool) into the fleet-wide histograms. Plain architectures
+// have no rotation story to observe and record nothing.
+func (s *Server) observeWear(e *registry.Entry) {
 	if _, ok := e.Arch.Leveling(); !ok {
 		return
 	}
-	label := `arch="` + e.ID + `"`
-	s.met.Gauge("lemonaded_spares_remaining", label,
-		"usable unassigned spare switches, by architecture").Set(int64(e.Arch.SparesRemaining()))
-	s.met.Gauge("lemonaded_wear_skew_millis", label,
-		"wear skew (max-min wear over the serviceable pool, x1000), by architecture").Set(int64(e.Arch.WearSkew() * 1000))
+	s.hSpares.Observe(float64(e.Arch.SparesRemaining()))
+	s.hWearSkew.Observe(e.Arch.WearSkew())
 }
 
 // route mounts an instrumented handler: per-route request counter and

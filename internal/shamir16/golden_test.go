@@ -15,7 +15,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current implementation")
 
-// Pins Split/Combine output bytes (and post-split RNG state) across the
+// Pins Split/CombineInto output bytes (and post-split RNG state) across the
 // wide-sharing grid, including odd-length secrets that exercise padding.
 // Generated from the scalar implementation; the slice-kernel rewrite must
 // match bit for bit.
@@ -60,9 +60,9 @@ func goldenDigests(t *testing.T) string {
 			pick = append(pick, shares[i])
 		}
 		pick = append(pick, shares[len(shares)-1])
-		got, err := Combine(pick, sc.k)
+		got, err := combine(pick, sc.k)
 		if err != nil {
-			t.Fatalf("Combine(%d,%d,%d): %v", sc.secretLen, sc.k, sc.n, err)
+			t.Fatalf("combine(%d,%d,%d): %v", sc.secretLen, sc.k, sc.n, err)
 		}
 		sum := sha256.Sum256(got)
 		fmt.Fprintf(&b, "combine/%d/%d/%d/%d %s\n", sc.secretLen, sc.k, sc.n, sc.seed, hex.EncodeToString(sum[:]))

@@ -54,9 +54,9 @@ func (s *scratch) rowBuf(rows, width int) [][]uint16 {
 	return rs
 }
 
-// toWordsInto packs bytes big-endian into dst (grown as needed), mirroring
-// toWords without the allocation. Even-index bytes assign the whole word,
-// so reused buffers carry no stale low bytes.
+// toWordsInto packs bytes big-endian into 16-bit words in dst (grown as
+// needed) and reports whether the odd last byte was padded. Even-index
+// bytes assign the whole word, so reused buffers carry no stale low bytes.
 func toWordsInto(dst []uint16, b []byte) ([]uint16, bool) {
 	dst = growWords(dst, (len(b)+1)/2)
 	for i := 0; i < len(b); i++ {

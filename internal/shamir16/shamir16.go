@@ -42,48 +42,3 @@ func Split(secret []byte, k, n int, r *rng.RNG) ([]Share, error) {
 	}
 	return shares, nil
 }
-
-// Combine reconstructs the secret from at least k distinct shares. It is
-// the allocating wrapper around CombineInto; the first share's word count
-// sizes the destination, which the consistency check then holds every
-// used share to.
-func Combine(shares []Share, k int) ([]byte, error) {
-	var dst []byte
-	if len(shares) > 0 {
-		dst = make([]byte, 2*len(shares[0].Data))
-	} else {
-		dst = []byte{}
-	}
-	n, err := CombineInto(shares, k, dst)
-	if err != nil {
-		return nil, err
-	}
-	return dst[:n], nil
-}
-
-// toWords packs bytes big-endian into 16-bit words, padding odd lengths.
-func toWords(b []byte) (words []uint16, padded bool) {
-	padded = len(b)%2 != 0
-	n := (len(b) + 1) / 2
-	words = make([]uint16, n)
-	for i := 0; i < len(b); i++ {
-		if i%2 == 0 {
-			words[i/2] = uint16(b[i]) << 8
-		} else {
-			words[i/2] |= uint16(b[i])
-		}
-	}
-	return words, padded
-}
-
-// fromWords unpacks words back into bytes, trimming padding.
-func fromWords(words []uint16, padded bool) []byte {
-	out := make([]byte, 0, 2*len(words))
-	for _, w := range words {
-		out = append(out, byte(w>>8), byte(w))
-	}
-	if padded && len(out) > 0 {
-		out = out[:len(out)-1]
-	}
-	return out
-}

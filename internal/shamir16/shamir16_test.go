@@ -47,7 +47,7 @@ func TestRoundTrip(t *testing.T) {
 				distinct = append(distinct, shares[i])
 			}
 		}
-		got, err := Combine(distinct, tc.k)
+		got, err := combine(distinct, tc.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestWideSharingBeyond255(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Combine(shares[700:850], 150)
+	got, err := combine(shares[700:850], 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWideSharingBeyond255(t *testing.T) {
 		t.Error("wide reconstruction failed")
 	}
 	// 149 shares must not suffice
-	if _, err := Combine(shares[:149], 150); !errors.Is(err, ErrTooFewShares) {
+	if _, err := combine(shares[:149], 150); !errors.Is(err, ErrTooFewShares) {
 		t.Errorf("expected ErrTooFewShares, got %v", err)
 	}
 }
@@ -92,15 +92,15 @@ func TestValidation(t *testing.T) {
 	if _, err := Split(nil, 1, 1, r); err == nil {
 		t.Error("empty secret should error")
 	}
-	if _, err := Combine([]Share{{X: 0, Data: []uint16{1}}}, 1); err == nil {
+	if _, err := combine([]Share{{X: 0, Data: []uint16{1}}}, 1); err == nil {
 		t.Error("x=0 share should error")
 	}
 	bad := []Share{{X: 1, Data: []uint16{1, 2}}, {X: 2, Data: []uint16{1}}}
-	if _, err := Combine(bad, 2); !errors.Is(err, ErrInconsistent) {
+	if _, err := combine(bad, 2); !errors.Is(err, ErrInconsistent) {
 		t.Error("inconsistent shapes should error")
 	}
 	padMismatch := []Share{{X: 1, Data: []uint16{1}, Padded: true}, {X: 2, Data: []uint16{1}}}
-	if _, err := Combine(padMismatch, 2); !errors.Is(err, ErrInconsistent) {
+	if _, err := combine(padMismatch, 2); !errors.Is(err, ErrInconsistent) {
 		t.Error("padding mismatch should error")
 	}
 }
@@ -108,7 +108,7 @@ func TestValidation(t *testing.T) {
 func TestDuplicatesDontCount(t *testing.T) {
 	r := rng.New(4)
 	shares, _ := Split([]byte("secret"), 3, 5, r)
-	if _, err := Combine([]Share{shares[0], shares[0], shares[0]}, 3); !errors.Is(err, ErrTooFewShares) {
+	if _, err := combine([]Share{shares[0], shares[0], shares[0]}, 3); !errors.Is(err, ErrTooFewShares) {
 		t.Error("duplicates satisfied the threshold")
 	}
 }
@@ -133,7 +133,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i, idx := range perm {
 			subset[i] = shares[idx]
 		}
-		got, err := Combine(subset, k)
+		got, err := combine(subset, k)
 		return err == nil && bytes.Equal(got, raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -147,13 +147,38 @@ func TestWordPacking(t *testing.T) {
 		for i := range b {
 			b[i] = byte(i + 1)
 		}
-		words, padded := toWords(b)
-		got := fromWords(words, padded)
-		if !bytes.Equal(got, b) {
-			t.Errorf("word packing round trip failed for n=%d", n)
+		// A dirty reused buffer must not leak stale low bytes.
+		dirty := []uint16{0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF}
+		words, padded := toWordsInto(dirty[:0], b)
+		if len(words) != (n+1)/2 {
+			t.Fatalf("n=%d: got %d words, want %d", n, len(words), (n+1)/2)
+		}
+		for i, w := range words {
+			want := uint16(b[2*i]) << 8
+			if 2*i+1 < n {
+				want |= uint16(b[2*i+1])
+			}
+			if w != want {
+				t.Errorf("n=%d: word %d = %#04x, want %#04x", n, i, w, want)
+			}
 		}
 		if padded != (n%2 != 0) {
 			t.Errorf("padding flag wrong for n=%d", n)
 		}
 	}
+}
+
+// combine reconstructs the secret through CombineInto into a destination
+// sized from the first share's word count, which the consistency check
+// then holds every used share to.
+func combine(shares []Share, k int) ([]byte, error) {
+	dst := []byte{}
+	if len(shares) > 0 {
+		dst = make([]byte, 2*len(shares[0].Data))
+	}
+	n, err := CombineInto(shares, k, dst)
+	if err != nil {
+		return nil, err
+	}
+	return dst[:n], nil
 }

@@ -118,6 +118,7 @@ if [ "$mode" = attack ]; then
         # from n to n+spares switches, so the designed access ceiling
         # scales by (n+spares)/n, plus one access of slack per copy.
         budget=$(((max * (n + spares) + n - 1) / n + copies))
+        premetrics=$(curl -sf "$base/metrics")
 
         # The attacker: 120 deterministic hot/cold bursts concentrated on
         # shares 0–2. Any response carrying the secret is a leak; 500/503
@@ -147,16 +148,25 @@ if [ "$mode" = attack ]; then
         echo "chaos: seed $seed: reveals within budget under attack ($s <= $budget)"
 
         # The wear-observability contract: stress, remap, spare, and skew
-        # metrics must be live on the scrape.
+        # metrics must be live on the scrape, and the attack must have been
+        # observed into both wear-leveling histograms.
         metrics=$(curl -sf "$base/metrics")
         for metric in lemonaded_stress_pulses_total \
             lemonaded_wearout_remaps_total \
-            "lemonaded_spares_remaining{arch=\"$id\"}" \
-            "lemonaded_wear_skew_millis{arch=\"$id\"}"; do
+            lemonaded_leveled_spares_remaining_count \
+            lemonaded_leveled_wear_skew_cycles_count; do
             case "$metrics" in
                 *"$metric"*) ;;
                 *) echo "chaos: FAIL — /metrics missing $metric"; exit 1 ;;
             esac
+        done
+        for hist in lemonaded_leveled_spares_remaining lemonaded_leveled_wear_skew_cycles; do
+            before=$(echo "$premetrics" | sed -n "s/^${hist}_count \([0-9]*\)$/\1/p")
+            after=$(echo "$metrics" | sed -n "s/^${hist}_count \([0-9]*\)$/\1/p")
+            if [ -z "$before" ] || [ -z "$after" ] || [ "$after" -le "$before" ]; then
+                echo "chaos: FAIL — ${hist}_count did not rise under attack (${before:-?} -> ${after:-?})"
+                exit 1
+            fi
         done
         echo "chaos: seed $seed: wear metrics present"
 
