@@ -127,10 +127,15 @@ type ClusterProvisionResult struct {
 // derived from Seed, so a fixed provisioning sequence is bit-identical
 // across runs.
 //
-// Provisioning is sequential and fails fast: an error part-way leaves
-// the earlier shares registered under a cluster ID this client has
-// burned. Those orphans are inert — fewer than ShareK shares
-// reconstruct nothing — and consume no wear unless accessed.
+// The ShareN share requests go out at once, one per owner, and
+// Provision waits for every one to return: an owner's fabrication and
+// fsync overlap the others' instead of queueing behind them. If any
+// share fails, Provision returns the error of the lowest-numbered failed
+// share and the cluster ID it minted is burned: the client never learns
+// its geometry, so Access refuses it. The shares that did land stay
+// registered on their owners — up to ShareN−1 of them, which can be
+// ShareK or more, enough to reconstruct the secret for anyone who
+// registers the burned ID. They consume no wear unless accessed.
 func (cc *ClusterClient) Provision(ctx context.Context, req ClusterProvision) (*ClusterProvisionResult, error) {
 	if req.ShareK < 1 || req.ShareN < req.ShareK {
 		return nil, fmt.Errorf("api: cluster: need 1 <= k <= n, got k=%d n=%d", req.ShareK, req.ShareN)
@@ -154,18 +159,29 @@ func (cc *ClusterClient) Provision(ctx context.Context, req ClusterProvision) (*
 	if err != nil {
 		return nil, fmt.Errorf("api: cluster: %w", err)
 	}
+	errs := make([]error, len(owners))
+	var wg sync.WaitGroup
 	for i, owner := range owners {
-		payload := cluster.EncodeShare(shares[i].X, shares[i].Data)
-		_, err := cc.clients[owner].ClusterShare(ctx, ClusterShareRequest{
+		share := ClusterShareRequest{
 			ClusterID:  id,
 			ShareIndex: i,
 			ShareTotal: req.ShareN,
 			Spec:       req.Spec,
-			ShareHex:   hex.EncodeToString(payload),
+			ShareHex:   hex.EncodeToString(cluster.EncodeShare(shares[i].X, shares[i].Data)),
 			Seed:       rng.New(req.Seed).DeriveIndex("cluster/arch", i).Uint64(),
-		})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cc.clients[owner].ClusterShare(ctx, share); err != nil {
+				errs[i] = fmt.Errorf("api: cluster: provisioning share %d on %q: %w", i, owner, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("api: cluster: provisioning share %d on %q: %w", i, owner, err)
+			return nil, err
 		}
 	}
 	cc.mu.Lock()

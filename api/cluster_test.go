@@ -1,12 +1,15 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -396,5 +399,147 @@ func TestClusterSharedSleepIsShared(t *testing.T) {
 	if !sawRetry || !sawHedge {
 		t.Fatalf("shared sleep saw retry=%v hedge=%v (waits: %v) — both paths must flow through it",
 			sawRetry, sawHedge, slept)
+	}
+}
+
+// shareTransport answers POST /v1/cluster/shares in process, so a
+// provisioning test decides when each share request returns and what it
+// answers: hold blocks a request until the test releases it (or the
+// request context ends), and refuse names the share indices answered
+// 409. done[i] closes when share i's RoundTrip returns; closed counts
+// the response bodies the client has closed.
+type shareTransport struct {
+	hold   func(r *http.Request, share int) error
+	refuse map[int]bool
+	done   []chan struct{}
+	closed atomic.Int64
+}
+
+func (st *shareTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != "/v1/cluster/shares" {
+		return nil, errors.New("shareTransport: unexpected request " + r.URL.Path)
+	}
+	var req ClusterShareRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return nil, err
+	}
+	defer close(st.done[req.ShareIndex])
+	if err := st.hold(r, req.ShareIndex); err != nil {
+		return nil, err
+	}
+	status, body := http.StatusOK, any(ClusterShareResponse{ID: cluster.ShareID(req.ClusterID, req.ShareIndex)})
+	if st.refuse[req.ShareIndex] {
+		status, body = http.StatusConflict, ErrorResponse{Error: "share refused"}
+	}
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	return &http.Response{StatusCode: status, Body: &countedBody{bytes.NewReader(payload), &st.closed}, Request: r}, nil
+}
+
+type countedBody struct {
+	*bytes.Reader
+	closed *atomic.Int64
+}
+
+func (b *countedBody) Close() error { b.closed.Add(1); return nil }
+
+// shareTransportClient builds a ClusterClient over three nodes that
+// reach the network only through a fresh shareTransport for n shares.
+func shareTransportClient(t *testing.T, n int) (*ClusterClient, *shareTransport) {
+	t.Helper()
+	st := &shareTransport{done: make([]chan struct{}, n)}
+	for i := range st.done {
+		st.done[i] = make(chan struct{})
+	}
+	urls := map[string]string{"n0": "http://n0.test", "n1": "http://n1.test", "n2": "http://n2.test"}
+	cc, err := NewClusterClient(urls, 42, WithClusterNodeOptions(WithHTTPClient(&http.Client{Transport: st})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cc, st
+}
+
+// TestClusterProvisionFansOut pins the concurrent share fan-out: the
+// transport holds every share request until all n are in flight at
+// once, so a Provision that sent them one after another would stall on
+// its first share until the test deadline and fail.
+func TestClusterProvisionFansOut(t *testing.T) {
+	const n = 3
+	cc, st := shareTransportClient(t, n)
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	st.hold = func(r *http.Request, _ int) error {
+		if arrived.Add(1) == n {
+			close(all)
+		}
+		select {
+		case <-all:
+			return nil
+		case <-r.Context().Done():
+			return r.Context().Err()
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := cc.Provision(ctx, ClusterProvision{
+		Spec: SpecRequest{Alpha: 14, Beta: 8, LAB: 350}, SecretHex: "0102030405", Seed: 7, ShareK: 2, ShareN: n,
+	})
+	if err != nil {
+		t.Fatalf("provision with every share held until all %d arrive: %v", n, err)
+	}
+	if _, ok := cc.geometry(res.ClusterID); !ok {
+		t.Fatalf("provisioned %s but its geometry is not registered", res.ClusterID)
+	}
+}
+
+// TestClusterProvisionReportsLowestFailedShare pins the failure contract
+// of the fan-out. The transport answers share i only after every higher
+// share has returned, so failures complete highest index first; yet on
+// every run Provision must report the lowest failed share, return only
+// after every share request has finished, and leave the burned ID
+// unknown to Access.
+func TestClusterProvisionReportsLowestFailedShare(t *testing.T) {
+	const id, n = "arch-000001", 3 // a fresh client's first minted ID
+	for _, refuse := range []map[int]bool{{0: true}, {1: true}, {2: true}, {1: true, 2: true}, {0: true, 2: true}} {
+		lowest := n
+		for i := range refuse {
+			lowest = min(lowest, i)
+		}
+		for run := 0; run < 10; run++ {
+			cc, st := shareTransportClient(t, n)
+			st.refuse = refuse
+			st.hold = func(r *http.Request, share int) error {
+				for j := share + 1; j < n; j++ {
+					select {
+					case <-st.done[j]:
+					case <-r.Context().Done():
+						return r.Context().Err()
+					}
+				}
+				return nil
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			_, err := cc.Provision(ctx, ClusterProvision{
+				Spec: SpecRequest{Alpha: 14, Beta: 8, LAB: 350}, SecretHex: "0a0b0c", Seed: 3, ShareK: 2, ShareN: n,
+			})
+			cancel()
+			if got := st.closed.Load(); got != n {
+				t.Fatalf("refuse %v run %d: Provision returned with %d of %d share responses closed", refuse, run, got, n)
+			}
+			owners, oerr := cc.Ring().Owners(id, n)
+			if oerr != nil {
+				t.Fatal(oerr)
+			}
+			want := fmt.Sprintf("provisioning share %d on %q", lowest, owners[lowest])
+			var ae *Error
+			if err == nil || !strings.Contains(err.Error(), want) || !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
+				t.Fatalf("refuse %v run %d: Provision error %v, want the 409 of %s", refuse, run, err, want)
+			}
+			if _, aerr := cc.Access(context.Background(), id, AccessRequest{}); aerr == nil || !strings.Contains(aerr.Error(), "unknown cluster id") {
+				t.Fatalf("refuse %v run %d: Access on the burned ID = %v, want unknown cluster id", refuse, run, aerr)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"lemonade/internal/dse"
 	"lemonade/internal/nems"
+	"lemonade/internal/race"
 	"lemonade/internal/reliability"
 	"lemonade/internal/rng"
 	"lemonade/internal/weibull"
@@ -36,6 +37,9 @@ func buildLongLived(t *testing.T, n, k int, secret []byte) *Architecture {
 // conducting scratch, share selection, and Shamir reconstruction all run
 // on reused or pooled buffers).
 func TestAccessAllocsSteadyState(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	secret := []byte("the paper's limited-use secret")
 	for _, tc := range []struct {
 		name string

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"lemonade/internal/mathx"
 	"lemonade/internal/rng"
@@ -146,11 +147,26 @@ func (d Dist) Variance() float64 {
 // Median returns the 50th percentile.
 func (d Dist) Median() float64 { return d.Quantile(0.5) }
 
-// Sample draws one time-to-failure by inverse-CDF sampling.
+// Sample draws one time-to-failure by inverse-CDF sampling,
+// α·(−ln u)^(1/β).
+//
+// For β > 2 the power is taken as exp(y·ln x) directly. u lies in (0, 1),
+// so x = −ln u is finite and positive, and for such x and 0 < y < 0.5
+// Go's portable math.Pow reduces to Ldexp(Exp(y*Log(x)), 0) — the same
+// bits, minus Pow's special-case ladder, Modf and Frexp. Other shapes,
+// and architectures with an assembly Pow, keep math.Pow.
 func (d Dist) Sample(r *rng.RNG) float64 {
-	u := r.Float64Open()
-	return d.Alpha * math.Pow(-math.Log(u), 1/d.Beta)
+	x, y := -math.Log(r.Float64Open()), 1/d.Beta
+	if portablePow && y > 0 && y < 0.5 {
+		return d.Alpha * math.Exp(y*math.Log(x))
+	}
+	return d.Alpha * math.Pow(x, y)
 }
+
+// portablePow reports whether math.Pow runs Go's portable code, which
+// Sample's exp-log fast path reproduces bit for bit. s390x has an
+// assembly Pow.
+const portablePow = runtime.GOARCH != "s390x"
 
 // SampleN draws n independent lifetimes. It is the allocating wrapper
 // around SampleNInto.

@@ -437,3 +437,30 @@ func TestSampleNIntoMatchesSampleN(t *testing.T) {
 		t.Fatalf("SampleNInto allocates %.1f times per call, want 0", a)
 	}
 }
+
+// TestSampleMatchesPowBitForBit pins Sample's exp-log fast path to the
+// plain inverse-CDF formula α·Pow(−ln u, 1/β): every draw must carry the
+// same bits, on a β grid that straddles the fast path's β > 2 boundary
+// (β ≤ 2 keeps math.Pow). The edge draws u = 2⁻⁵³ and u = 1 − 2⁻⁵³, the
+// extremes Float64Open can return, are checked directly as well.
+func TestSampleMatchesPowBitForBit(t *testing.T) {
+	const draws = 1_000_000
+	edges := []float64{0x1p-53, 1 - 0x1p-53, 0.5, math.Exp(-1)}
+	for i, beta := range []float64{0.5, 1, 1.5, 2, math.Nextafter(2, 3), 2.5, 3, 8, 12.7, 100, 1200} {
+		d := MustNew(14, beta)
+		want := func(u float64) float64 { return d.Alpha * math.Pow(-math.Log(u), 1/d.Beta) }
+		for _, u := range edges {
+			x, y := -math.Log(u), 1/d.Beta
+			if y < 0.5 && math.Float64bits(d.Alpha*math.Exp(y*math.Log(x))) != math.Float64bits(want(u)) {
+				t.Fatalf("β=%v u=%v: exp-log power differs from math.Pow", beta, u)
+			}
+		}
+		sr, ur := rng.New(uint64(i)), rng.New(uint64(i))
+		for n := 0; n < draws; n++ {
+			got, w := d.Sample(sr), want(ur.Float64Open())
+			if math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("β=%v draw %d: Sample %v (%#x), formula %v (%#x)", beta, n, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+		}
+	}
+}
